@@ -6,12 +6,14 @@
 // advances shards in real time, signal handling, and snapshot files.
 //
 // On SIGTERM/SIGINT it shuts the HTTP side down, drains every shard
-// mailbox, and (with -snapshot-dir) writes one snapshot per shard; a
-// restart with the same -snapshot-dir restores them, verifying each
-// engine digest.
+// mailbox, and (with -snapshot-dir) writes one snapshot per shard: the
+// shard's complete tail, the record GET /v1/shards/{shard}/log?from=0
+// serves. A restart with the same -snapshot-dir restores them, replaying
+// each log and verifying each engine digest.
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -245,21 +247,26 @@ func snapshotPath(dir string, shard int) string {
 	return filepath.Join(dir, fmt.Sprintf("shard-%d.json", shard))
 }
 
-// loadSnapshots reads every shard-*.json in dir. A missing directory or
-// an empty one means a fresh start.
-func loadSnapshots(dir string) ([]*serve.Snapshot, error) {
+// loadSnapshots reads every shard-*.json in dir, each one shard's
+// complete tail (serve.Tail from log index 0). A missing directory or an
+// empty one means a fresh start. Fields the tail does not define are an
+// error naming the file, so a document in another format is refused
+// instead of restoring as an empty shard.
+func loadSnapshots(dir string) ([]*serve.Tail, error) {
 	matches, err := filepath.Glob(filepath.Join(dir, "shard-*.json"))
 	if err != nil {
 		return nil, err
 	}
-	var snaps []*serve.Snapshot
+	var snaps []*serve.Tail
 	for _, path := range matches {
 		data, err := os.ReadFile(path)
 		if err != nil {
 			return nil, err
 		}
-		var snap serve.Snapshot
-		if err := json.Unmarshal(data, &snap); err != nil {
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.DisallowUnknownFields()
+		var snap serve.Tail
+		if err := dec.Decode(&snap); err != nil {
 			return nil, fmt.Errorf("decoding %s: %w", path, err)
 		}
 		snaps = append(snaps, &snap)
@@ -269,7 +276,7 @@ func loadSnapshots(dir string) ([]*serve.Snapshot, error) {
 
 // writeSnapshots persists one file per shard, via a temp file + rename
 // so a crash mid-write never leaves a truncated snapshot behind.
-func writeSnapshots(dir string, snaps []*serve.Snapshot) error {
+func writeSnapshots(dir string, snaps []*serve.Tail) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}

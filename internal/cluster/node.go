@@ -41,8 +41,9 @@ type replAck struct {
 	Want  int   `json:"want"`
 }
 
-// PromoteResponse reports the state a node installed when it took over
-// a shard; the caller compares Digest against its own expectation.
+// PromoteResponse reports the complete tail a node installed when it
+// took over a shard (Log is its command count); the caller compares
+// Digest against its own expectation.
 type PromoteResponse struct {
 	Shard  int    `json:"shard"`
 	Digest uint64 `json:"digest"`

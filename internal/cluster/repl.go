@@ -292,7 +292,7 @@ func (n *Node) handlePromote(w http.ResponseWriter, r *http.Request) {
 	st.forward = ""
 	st.followers = make(map[string]*followerState)
 	n.cs.SetRole(shard, RolePrimary)
-	writeJSONStatus(w, http.StatusOK, PromoteResponse{Shard: shard, Digest: snap.Digest, Now: snap.Now, Log: len(snap.Log)})
+	writeJSONStatus(w, http.StatusOK, PromoteResponse{Shard: shard, Digest: snap.Digest, Now: snap.Now, Log: len(snap.Commands)})
 }
 
 // handleMigrate hands the shard to the target node: stream the full

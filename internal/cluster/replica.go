@@ -100,12 +100,18 @@ func (r *Replica) Apply(t *serve.Tail) error {
 	return nil
 }
 
-// Snapshot assembles the full-shard snapshot a promotion installs: the
-// latest tail's pending sets and admission books over the complete
-// replicated log. Nil until the first tail has applied.
-func (r *Replica) Snapshot() (*serve.Snapshot, error) {
+// Snapshot returns the complete tail a promotion installs: the latest
+// tail's clock, digest, pending sets and admission books over the whole
+// replicated log, From 0. Apply verified exactly this pair — the engine
+// that replayed r.log to the tail's clock matched its digest — and the
+// install replays and checks it again. The tail shares the replica's
+// log; callers must not modify its commands. Nil until the first tail
+// has applied.
+func (r *Replica) Snapshot() (*serve.Tail, error) {
 	if r.last == nil {
 		return nil, fmt.Errorf("cluster: replica %d has no tail to promote", r.shard)
 	}
-	return r.last.BuildSnapshot(r.log[:r.last.From])
+	t := *r.last
+	t.From, t.Total, t.Commands = 0, len(r.log), r.log[:len(r.log):len(r.log)]
+	return &t, nil
 }

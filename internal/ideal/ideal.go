@@ -10,9 +10,13 @@
 // predecessor's allocation in its last slot equals wt(T) whenever the
 // predecessor's b-bit is 1.
 //
-// These static allocations are the base case of the dynamic I_SW/I_CSW
-// trackers in internal/core; they are also used directly for golden tests of
-// the paper's Fig. 1 and for lag computations on non-adaptive systems.
+// The package is internal/core's oracle. It shares no code with the
+// engine: for a task that is never reweighted the engine's I_SW ideal is
+// exactly this I_IS ideal, and core's TestSWAccrualMatchesIdealIS checks
+// the engine's lazy closed-form I_SW accrual against TaskCum at every slot
+// for random periodic tasks and IS tasks delayed through
+// Scheduler.DelayNext. The package also carries the golden tests of the
+// paper's Fig. 1 and the I_PS and lag helpers for non-adaptive tasks.
 package ideal
 
 import (

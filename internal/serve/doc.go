@@ -28,10 +28,13 @@
 //
 // Snapshot/restore rides on the engine's determinism: a shard is fully
 // described by its seed system plus the log of commands actually
-// applied (core.Replay). A Snapshot additionally carries the admission
-// books and the not-yet-applied pending commands so a restored shard
-// resumes mid-stream without losing admitted work; the engine-state
-// digest recorded at snapshot time is re-verified after replay.
+// applied (core.Replay). Its one state record is the Tail: a tail from
+// log index 0 is the shard's snapshot, served by the log endpoint,
+// persisted by cmd/pd2d and installed by the cluster layer. It also
+// carries the admission books and the not-yet-applied pending commands,
+// so a restored shard resumes mid-stream without losing admitted work,
+// and every restore replays the log and re-verifies the engine-state
+// digest the tail recorded.
 //
 // The package is deliberately deterministic (no wall clock, no global
 // randomness — enforced by pd2lint): time advances only by explicit

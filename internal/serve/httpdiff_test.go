@@ -139,16 +139,19 @@ func TestHTTPDifferentialAgainstDirectCore(t *testing.T) {
 	var state StateResponse
 	getJSON(t, ts2.URL+"/v1/shards/0/state", &state)
 
-	// The shard's own account of what it applied.
-	var snap Snapshot
-	getJSON(t, ts2.URL+"/v1/shards/0/snapshot", &snap)
+	// The shard's own account of what it applied: its complete tail.
+	var snap Tail
+	getJSON(t, ts2.URL+"/v1/shards/0/log?from=0", &snap)
+	if snap.From != 0 || snap.Total != len(snap.Commands) {
+		t.Fatalf("log?from=0 served from=%d with %d of %d commands", snap.From, len(snap.Commands), snap.Total)
+	}
 
 	// Drive a fresh engine directly with that log.
-	ccfg, err := snap.Config.coreConfig()
+	ccfg, err := snap.Config.CoreConfig()
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := core.Replay(ccfg, snap.Seed, snap.Log, snap.Now)
+	direct, err := core.Replay(ccfg, snap.Seed, snap.Commands, snap.Now)
 	if err != nil {
 		t.Fatalf("direct replay of served log: %v", err)
 	}

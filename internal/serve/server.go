@@ -23,10 +23,11 @@ type Options struct {
 	// RetryAfterSeconds is advertised in the Retry-After header of 429
 	// responses. Default 1.
 	RetryAfterSeconds int
-	// Snapshots optionally restores shards from a previous run. Each
-	// snapshot's Shard index must be in [0, Shards); missing indices
-	// start fresh.
-	Snapshots []*Snapshot
+	// Snapshots optionally restores shards from a previous run: one
+	// complete tail (From == 0) per restored shard, each replayed and
+	// digest-verified. Each tail's Shard index must be in [0, Shards);
+	// missing indices start fresh.
+	Snapshots []*Tail
 }
 
 // Server owns the shard set and the HTTP surface. It does not own a
@@ -59,7 +60,7 @@ func New(opts Options) (*Server, error) {
 	if opts.RetryAfterSeconds < 1 {
 		opts.RetryAfterSeconds = 1
 	}
-	restore := make(map[int]*Snapshot, len(opts.Snapshots))
+	restore := make(map[int]*Tail, len(opts.Snapshots))
 	for _, snap := range opts.Snapshots {
 		if snap.Shard < 0 || snap.Shard >= opts.Shards {
 			return nil, fmt.Errorf("serve: snapshot for shard %d outside [0,%d)", snap.Shard, opts.Shards)
@@ -113,11 +114,15 @@ func (s *Server) Stop() {
 	}
 }
 
-// Snapshots serializes every shard. Call after Stop.
-func (s *Server) Snapshots() []*Snapshot {
-	out := make([]*Snapshot, len(s.shards))
+// Snapshots returns every shard's complete tail. Call after Stop.
+func (s *Server) Snapshots() []*Tail {
+	out := make([]*Tail, len(s.shards))
 	for i := range s.shards {
-		out[i] = s.shardAt(i).buildSnapshot()
+		t, err := s.shardAt(i).buildTail(0)
+		if err != nil {
+			panic(fmt.Errorf("serve: a tail from log index 0 is always in range: %w", err))
+		}
+		out[i] = t
 	}
 	return out
 }
@@ -128,23 +133,23 @@ func (s *Server) NumShards() int { return len(s.shards) }
 // ShardTick returns shard i's tick channel for the external clock.
 func (s *Server) ShardTick(i int) chan<- struct{} { return s.shardAt(i).TickC() }
 
-// InstallShard replaces slot snap.Shard with a shard restored from the
-// snapshot, started and ready for traffic. The restore replays the
-// snapshot log and verifies its digest, so a migration receiver or a
+// InstallShard replaces slot t.Shard with a shard restored from the
+// complete tail t, started and ready for traffic. The restore replays
+// the tail's log and verifies its digest, so a migration receiver or a
 // promoted follower cannot install corrupt state. The outgoing shard is
 // drained and stopped after the swap: handlers that already resolved it
 // finish against it (or get 503 once it is down), new requests see the
 // replacement. Returns the restore error without touching the slot.
-func (s *Server) InstallShard(snap *Snapshot) error {
-	if snap.Shard < 0 || snap.Shard >= len(s.shards) {
-		return fmt.Errorf("serve: install for shard %d outside [0,%d)", snap.Shard, len(s.shards))
+func (s *Server) InstallShard(t *Tail) error {
+	if t.Shard < 0 || t.Shard >= len(s.shards) {
+		return fmt.Errorf("serve: install for shard %d outside [0,%d)", t.Shard, len(s.shards))
 	}
-	sh, err := restoreShard(snap, s.mailboxCap)
+	sh, err := restoreShard(t, s.mailboxCap)
 	if err != nil {
 		return err
 	}
 	sh.start()
-	if old := s.shards[snap.Shard].Swap(sh); old != nil {
+	if old := s.shards[t.Shard].Swap(sh); old != nil {
 		old.stop()
 	}
 	return nil
@@ -233,7 +238,6 @@ func (s *Server) buildMux() *http.ServeMux {
 	mux.HandleFunc("POST /v1/shards/{shard}/advance", s.handleAdvance)
 	mux.HandleFunc("GET /v1/shards/{shard}", s.handleQuery)
 	mux.HandleFunc("GET /v1/shards/{shard}/state", s.handleState)
-	mux.HandleFunc("GET /v1/shards/{shard}/snapshot", s.handleSnapshot)
 	mux.HandleFunc("GET /v1/shards/{shard}/log", s.handleLog)
 	mux.HandleFunc("GET /v1/shards", s.handleList)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -474,30 +478,10 @@ func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	sh := s.shardFrom(w, r)
-	if sh == nil {
-		return
-	}
-	p := sh.pool.newPending()
-	p.kind = pendSnapshot
-	rep, ok := s.exchange(w, sh, p)
-	if !ok {
-		return
-	}
-	sh.pool.freePending(p) // the snapshot reply is a fresh copy, not pooled
-	if rep.err != nil {
-		writeError(w, http.StatusInternalServerError, "snapshot", rep.err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(rep.state)
-}
-
-// handleLog serves the replication tail from ?from=N (default 0): the
-// commands applied since that log index plus the pending sets and
-// admission books — the pull half of primary→follower streaming and
-// the fetch half of live migration.
+// handleLog serves the tail from ?from=N (default 0): the commands
+// applied since that log index plus the pending sets and admission
+// books — the pull half of primary→follower streaming, the fetch half
+// of live migration, and, from 0, the shard's snapshot.
 func (s *Server) handleLog(w http.ResponseWriter, r *http.Request) {
 	sh := s.shardFrom(w, r)
 	if sh == nil {

@@ -113,11 +113,11 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 					}
 				}
 
-				data, err := json.Marshal(live.buildSnapshot())
+				data, err := json.Marshal(completeTail(t, live))
 				if err != nil {
 					t.Fatal(err)
 				}
-				var snap Snapshot
+				var snap Tail
 				if err := json.Unmarshal(data, &snap); err != nil {
 					t.Fatal(err)
 				}
@@ -164,17 +164,27 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsTamperedSnapshot: a snapshot whose log no longer
-// matches its digest must be refused, not silently replayed.
+// completeTail is the shard's snapshot: its tail from log index 0.
+func completeTail(t *testing.T, sh *Shard) *Tail {
+	t.Helper()
+	tail, err := sh.buildTail(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tail
+}
+
+// TestRestoreRejectsTamperedSnapshot: a complete tail whose log no
+// longer matches its digest must be refused, not silently replayed.
 func TestRestoreRejectsTamperedSnapshot(t *testing.T) {
 	sh := testShard(t, ShardConfig{M: 2, RecordSchedule: true}, 8)
 	admitOne(sh, opJoin, "A", frac.New(1, 4))
 	admitOne(sh, opJoin, "B", frac.New(1, 3))
 	sh.advance(8)
-	snap := sh.buildSnapshot()
+	snap := completeTail(t, sh)
 	snap.Digest++
-	if _, err := restoreShard(snap, 8); err == nil {
-		t.Fatal("tampered digest restored without error")
+	if _, err := restoreShard(snap, 8); err == nil || !strings.Contains(err.Error(), "digest mismatch") {
+		t.Fatalf("tampered digest restored: err = %v, want a digest mismatch", err)
 	}
 	snap.Digest--
 	if _, err := restoreShard(snap, 8); err != nil {
@@ -182,12 +192,56 @@ func TestRestoreRejectsTamperedSnapshot(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsBadVersion guards the format gate.
-func TestRestoreRejectsBadVersion(t *testing.T) {
-	sh := testShard(t, ShardConfig{M: 1}, 4)
-	snap := sh.buildSnapshot()
-	snap.Version = 99
-	if _, err := restoreShard(snap, 4); err == nil {
-		t.Fatal("unknown snapshot version restored without error")
+// TestRestoreRejectsIncompleteTail: only a complete tail restores. A
+// delta (From > 0) and a tail whose Total disagrees with the commands
+// it carries are refused by restoreShard and by InstallShard, and the
+// installed slot keeps serving its old state.
+func TestRestoreRejectsIncompleteTail(t *testing.T) {
+	sh := testShard(t, ShardConfig{M: 2}, 8)
+	admitOne(sh, opJoin, "A", frac.New(1, 4))
+	admitOne(sh, opJoin, "B", frac.New(1, 3))
+	sh.advance(2)
+	admitOne(sh, opReweight, "A", frac.New(1, 2))
+	sh.advance(2)
+	if len(sh.log) < 2 {
+		t.Fatalf("shard applied %d commands, want at least 2", len(sh.log))
+	}
+	delta, err := sh.buildTail(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	short := completeTail(t, sh)
+	short.Commands = short.Commands[:len(short.Commands)-1]
+	long := completeTail(t, sh)
+	long.Total--
+
+	srv, err := New(Options{Shards: 1, Config: ShardConfig{M: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	defer srv.Stop()
+	before, err := srv.ShardTail(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, bad := range map[string]*Tail{"from>0": delta, "dropped command": short, "total short": long} {
+		if _, err := restoreShard(bad, 8); err == nil {
+			t.Errorf("%s: restoreShard accepted the tail", name)
+		}
+		if err := srv.InstallShard(bad); err == nil {
+			t.Errorf("%s: InstallShard accepted the tail", name)
+		}
+	}
+	after, err := srv.ShardTail(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Digest != before.Digest || after.Total != before.Total {
+		t.Fatalf("refused installs changed the slot: (%016x, %d) -> (%016x, %d)",
+			before.Digest, before.Total, after.Digest, after.Total)
+	}
+	if _, err := restoreShard(completeTail(t, sh), 8); err != nil {
+		t.Fatalf("complete tail refused: %v", err)
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // driveSomeLoad joins tasks, reweights them, and advances the clock so
@@ -41,8 +43,8 @@ func driveSomeLoad(t *testing.T, ts *httptest.Server, shard int) {
 
 // TestTailRoundTrip: the /log endpoint's complete tail must replay
 // byte-identically (VerifyTail), an incremental tail must splice onto
-// its prefix, and InstallShard must accept the resulting snapshot and
-// serve the same digest.
+// its prefix into the same complete tail, and InstallShard must accept
+// that tail and serve the same digest.
 func TestTailRoundTrip(t *testing.T) {
 	srv, err := New(Options{Shards: 1, Config: ShardConfig{M: 2}})
 	if err != nil {
@@ -90,22 +92,28 @@ func TestTailRoundTrip(t *testing.T) {
 	if delta.From != mid {
 		t.Fatalf("delta.From = %d, want %d", delta.From, mid)
 	}
-	snap, err := delta.BuildSnapshot(full.Commands[:mid])
-	if err != nil {
-		t.Fatal(err)
+	if delta.Total != full.Total || len(delta.Commands) != full.Total-mid {
+		t.Fatalf("delta carries %d commands to total %d, want %d to %d",
+			len(delta.Commands), delta.Total, full.Total-mid, full.Total)
 	}
-	if len(snap.Log) != full.Total {
-		t.Fatalf("spliced log has %d commands, want %d", len(snap.Log), full.Total)
+	snap := *delta
+	snap.From = 0
+	snap.Commands = append(append([]core.Command(nil), full.Commands[:mid]...), delta.Commands...)
+	if len(snap.Commands) != full.Total {
+		t.Fatalf("spliced log has %d commands, want %d", len(snap.Commands), full.Total)
+	}
+	if d, err := VerifyTail(&snap); err != nil || d != full.Digest {
+		t.Fatalf("spliced tail replays to %016x (err %v), want %016x", d, err, full.Digest)
 	}
 
-	// A second server installs the snapshot live and serves the digest.
+	// A second server installs the spliced tail live and serves the digest.
 	dst, err := New(Options{Shards: 1, Config: ShardConfig{M: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	dst.Start()
 	defer dst.Stop()
-	if err := dst.InstallShard(snap); err != nil {
+	if err := dst.InstallShard(&snap); err != nil {
 		t.Fatal(err)
 	}
 	got, err := dst.ShardTail(0, 0)
@@ -128,9 +136,9 @@ func TestTailRoundTrip(t *testing.T) {
 	}
 }
 
-// TestInstallShardSwapsLive: installing over a running shard keeps the
-// slot serving — the replaced shard's digest is gone, the snapshot's is
-// live.
+// TestInstallShardSwapsLive: installing a complete tail over a running
+// shard keeps the slot serving — the replaced shard's digest is gone,
+// the tail's is live.
 func TestInstallShardSwapsLive(t *testing.T) {
 	src, err := New(Options{Shards: 2, Config: ShardConfig{M: 2}})
 	if err != nil {
@@ -146,10 +154,6 @@ func TestInstallShardSwapsLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := tail.BuildSnapshot(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	dst, err := New(Options{Shards: 2, Config: ShardConfig{M: 2}})
 	if err != nil {
@@ -157,7 +161,7 @@ func TestInstallShardSwapsLive(t *testing.T) {
 	}
 	dst.Start()
 	defer dst.Stop()
-	if err := dst.InstallShard(snap); err != nil {
+	if err := dst.InstallShard(tail); err != nil {
 		t.Fatal(err)
 	}
 	// The other slot is untouched, the installed one answers with the

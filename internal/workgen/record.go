@@ -15,8 +15,9 @@ import (
 // Record and Replay speak the daemon's public JSON API with a minimal
 // client of their own (see the package comment: sharing internal/serve
 // code would let the generator inherit a bug from the system under
-// test). Record pulls each shard's snapshot and keeps only the
-// replayable part — config, applied log, horizon, digest. Replay drives
+// test). Record pulls each shard's complete tail (its snapshot, served
+// by GET /v1/shards/{shard}/log?from=0) and keeps only the replayable
+// part — config, applied log, horizon, digest. Replay drives
 // a fresh daemon through the identical slot/command sequence and proves
 // the recorded digests reproduce.
 
@@ -27,12 +28,12 @@ const maxReplayBatch = 256
 // maxAdvance bounds slots per advance POST (the server rejects more).
 const maxAdvance = 1 << 20
 
-// Record fetches a snapshot from every shard of the daemon at base
-// (e.g. "http://127.0.0.1:9470") and assembles a trace. The daemon
-// keeps running; snapshots are read-only. Commands still sitting in a
-// slot batch or a deferral queue are not yet applied and therefore not
-// part of the trace — record after a final advance has flushed them,
-// or the trace ends at the last applied state.
+// Record fetches the complete tail of every shard of the daemon at
+// base (e.g. "http://127.0.0.1:9470") and assembles a trace. The daemon
+// keeps running; the log endpoint is read-only. Commands still sitting
+// in a slot batch or a deferral queue are not yet applied and therefore
+// not part of the trace — record after a final advance has flushed
+// them, or the trace ends at the last applied state.
 func Record(client *http.Client, base string, shards int) (*Trace, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("workgen: record needs shards >= 1, got %d", shards)
@@ -51,21 +52,18 @@ func Record(client *http.Client, base string, shards int) (*Trace, error) {
 	return tr, nil
 }
 
-// snapshotWire mirrors the fields of serve's shard snapshot JSON that a
-// trace needs. Unknown fields (admission books, pending queues beyond
-// the counts below) are ignored.
-type snapshotWire struct {
-	Version int             `json:"version"`
-	Shard   int             `json:"shard"`
-	Config  shardConfigWire `json:"config"`
-	Now     int64           `json:"now"`
-	Seed    model.System    `json:"seed"`
-	Log     []core.Command  `json:"log"`
-
-	Batch         []json.RawMessage `json:"batch"`
-	DeferredJoins []json.RawMessage `json:"deferred_joins"`
-
-	Digest uint64 `json:"digest"`
+// tailWire mirrors the fields of serve's complete-tail JSON that a
+// trace needs. Unknown fields (admission books, pending queues) are
+// ignored.
+type tailWire struct {
+	Shard    int             `json:"shard"`
+	Config   shardConfigWire `json:"config"`
+	Seed     model.System    `json:"seed"`
+	From     int             `json:"from"`
+	Total    int             `json:"total"`
+	Now      int64           `json:"now"`
+	Digest   uint64          `json:"digest"`
+	Commands []core.Command  `json:"commands"`
 }
 
 type shardConfigWire struct {
@@ -78,36 +76,37 @@ type shardConfigWire struct {
 
 func recordShard(client *http.Client, base string, shard int) (ShardTrace, error) {
 	var st ShardTrace
-	var snap snapshotWire
-	if err := getJSON(client, fmt.Sprintf("%s/v1/shards/%d/snapshot", base, shard), &snap); err != nil {
+	var tail tailWire
+	if err := getJSON(client, fmt.Sprintf("%s/v1/shards/%d/log?from=0", base, shard), &tail); err != nil {
 		return st, fmt.Errorf("workgen: record shard %d: %w", shard, err)
 	}
-	if snap.Version != 1 {
-		return st, fmt.Errorf("workgen: record shard %d: snapshot version %d, this recorder reads v1", shard, snap.Version)
+	if tail.Shard != shard {
+		return st, fmt.Errorf("workgen: record shard %d: tail says shard %d", shard, tail.Shard)
 	}
-	if snap.Shard != shard {
-		return st, fmt.Errorf("workgen: record shard %d: snapshot says shard %d", shard, snap.Shard)
+	if tail.From != 0 || tail.Total != len(tail.Commands) {
+		return st, fmt.Errorf("workgen: record shard %d: tail from %d carries %d of %d commands, want the complete log",
+			shard, tail.From, len(tail.Commands), tail.Total)
 	}
 	// A v1 trace carries no seed task set: serve shards always start
 	// empty, and the trace replays every join explicitly.
-	if len(snap.Seed.Tasks) != 0 {
+	if len(tail.Seed.Tasks) != 0 {
 		return st, fmt.Errorf("workgen: record shard %d: seed system has %d tasks; not representable in a v1 trace",
-			shard, len(snap.Seed.Tasks))
+			shard, len(tail.Seed.Tasks))
 	}
-	policy := snap.Config.Policy
+	policy := tail.Config.Policy
 	if policy == "" {
 		policy = "oi"
 	}
 	st = ShardTrace{
 		Shard:          shard,
-		M:              snap.Config.M,
+		M:              tail.Config.M,
 		Policy:         policy,
-		OIThreshold:    snap.Config.OIThreshold,
-		EarlyRelease:   snap.Config.EarlyRelease,
-		RecordSchedule: snap.Config.RecordSchedule,
-		Now:            snap.Now,
-		Digest:         snap.Digest,
-		Log:            snap.Log,
+		OIThreshold:    tail.Config.OIThreshold,
+		EarlyRelease:   tail.Config.EarlyRelease,
+		RecordSchedule: tail.Config.RecordSchedule,
+		Now:            tail.Now,
+		Digest:         tail.Digest,
+		Log:            tail.Commands,
 	}
 	return st, nil
 }
